@@ -19,7 +19,9 @@ object JoinMsg {
   final case class Agg(p: Partials) extends JoinMsg
 
   def merge(a: JoinMsg, b: JoinMsg): JoinMsg = (a, b) match {
-    case (Ids(x), Ids(y)) => Ids(x ++ y)
+    // `y` is the newer message: prepending it costs its own length, so a hub
+    // that combines k singleton messages does O(k) work, not O(k²).
+    case (Ids(x), Ids(y)) => Ids(y ::: x)
     case (Tables(x), Tables(y)) =>
       Tables(y.foldLeft(x) { case (m, (k, t)) => m.updated(k, m.getOrElse(k, Vector.empty) ++ t) })
     case (Corr(x), Corr(y)) => Corr(x.merge(y))

@@ -45,9 +45,10 @@ object TwMsg {
   final case class TRows(byRel: Map[String, Table]) extends TwMsg
 
   def merge(a: TwMsg, b: TwMsg): TwMsg = (a, b) match {
-    case (TIds(x), TIds(y)) => TIds(x ++ y)
+    // Newer lists go in front: linear in the messages combined (see JoinMsg.merge).
+    case (TIds(x), TIds(y)) => TIds(y ::: x)
     case (TVals(x), TVals(y)) =>
-      TVals(y.foldLeft(x) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, Nil) ++ v) })
+      TVals(y.foldLeft(x) { case (m, (k, v)) => m.updated(k, v ::: m.getOrElse(k, Nil)) })
     case (TRows(x), TRows(y)) =>
       TRows(y.foldLeft(x) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, Vector.empty) ++ v) })
     case _ => sys.error(s"phase-mixed two-way messages: $a / $b")

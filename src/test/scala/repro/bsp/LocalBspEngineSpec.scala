@@ -108,4 +108,82 @@ class LocalBspEngineSpec extends AnyFunSuite {
     assert(one.mapStates((v, s) => Some(v.id -> s)).toMap ==
       many.mapStates((v, s) => Some(v.id -> s)).toMap)
   }
+
+  // A graph much larger than one claimed chunk: filler relations P and Q on
+  // both sides of R, whose tuples are the only initially active vertices.
+  private def bigRel(name: String, rows: Int, mod: Int) =
+    TestDb.rel(name, Seq("a"), Seq("a"), (0 until rows).map(i => Seq(i % mod)))
+  private val p = bigRel("P", 1500, 7)
+  private val big = bigRel("R", 3000, 50)
+  private val q = bigRel("Q", 1500, 11)
+  private lazy val bigGraph = TestDb.graph(p, big, q)
+  private val wake = 10L // a P tuple that no vertex ever messages
+
+  /** R tuples keep themselves running until step 4 by pinging themselves,
+    * count themselves at the aggregator on steps 0-3, and message their
+    * attribute vertices on steps 1 and 3 only. The aggregator answers the
+    * step-0 count to vertex `wake`. Every vertex records (step, inbox).
+    */
+  private class Probe extends VertexProgram[List[(Int, Int)], Int] {
+    def initialState(v: VertexInfo): List[(Int, Int)] = Nil
+    def initiallyActive(v: VertexInfo, s: List[(Int, Int)], e: IndexedSeq[OutEdge]): Boolean =
+      v.isTuple && v.label == "R"
+    def merge(a: Int, b: Int): Int = a + b
+    val maxSteps: Int = 8
+    override def aggregatorCompute(step: Int, merged: Int): Iterator[(Long, Int)] =
+      if (step == 0) Iterator(wake -> merged) else Iterator.empty
+    def compute(step: Int, v: VertexInfo, s: List[(Int, Int)], msg: Option[Int],
+        edges: IndexedSeq[OutEdge], ctx: SendCtx[Int]): List[(Int, Int)] = {
+      if (v.isTuple && v.label == "R") {
+        if (step < 4) { ctx.send(v.id, 1); ctx.send(VertexProgram.AggregatorId, 1) }
+        if (step == 1 || step == 3) edges.foreach(e => ctx.send(e.dst, 1))
+      }
+      (step, msg.getOrElse(0)) :: s
+    }
+  }
+
+  test("work claiming: 1 and 4 threads agree on a graph of many chunks") {
+    val one = new LocalBspEngine(bigGraph, threads = 1).run(new Probe)
+    val four = new LocalBspEngine(bigGraph, threads = 4).run(new Probe)
+    assert(one.stats == four.stats)
+    assert(one.stats.supersteps == 5)
+    assert(one.aggregate == Some(4 * 3000)) // per-worker accumulators lose nothing
+    assert(four.aggregate == one.aggregate)
+    assert(one.mapStates((v, s) => Some(v.id -> s)).toMap ==
+      four.mapStates((v, s) => Some(v.id -> s)).toMap)
+  }
+
+  test("frontier: aggregator replies wake vertices and inbox slots do not leak") {
+    val run = new LocalBspEngine(bigGraph, threads = 4).run(new Probe)
+    val byId = run.mapStates((v, s) => Some(v.id -> (v, s.reverse))).toMap
+    // woken only by the aggregator's answer to step 0: runs at step 1 alone
+    assert(byId(wake)._2 == List((1, 3000)))
+    val rTrace = List((0, 0), (1, 1), (2, 1), (3, 1), (4, 1))
+    assert(byId.values.count { case (v, t) => v.label == "R" && t == rTrace } == 3000)
+    // an R-side attribute vertex: messaged at steps 1 and 3, so it runs at
+    // steps 2 and 4, not 3, and each inbox holds only that step's messages
+    val (_, trace) = byId.values.find { case (v, _) => !v.isTuple && v.value == 0L }.get
+    assert(trace == List((2, 60), (4, 60)))
+    // no vertex messages the other filler tuples, so they never run
+    assert(byId.values.forall { case (v, t) => !(v.isTuple && v.label != "R" && v.id != wake) || t.isEmpty })
+  }
+
+  test("a throwing compute fails the run instead of returning a partial result") {
+    class Boom extends VertexProgram[Int, Int] {
+      def initialState(v: VertexInfo) = 0
+      def initiallyActive(v: VertexInfo, s: Int, e: IndexedSeq[OutEdge]) = v.isTuple && v.label == "R"
+      def merge(a: Int, b: Int) = a + b
+      val maxSteps = 3
+      def compute(step: Int, v: VertexInfo, s: Int, msg: Option[Int],
+          edges: IndexedSeq[OutEdge], ctx: SendCtx[Int]): Int = {
+        if (v.id == 2000L) throw new IllegalStateException("boom at 2000")
+        ctx.send(VertexProgram.AggregatorId, 1)
+        s
+      }
+    }
+    for (t <- Seq(1, 4)) {
+      val e = intercept[IllegalStateException](new LocalBspEngine(bigGraph, threads = t).run(new Boom))
+      assert(e.getMessage == "boom at 2000")
+    }
+  }
 }

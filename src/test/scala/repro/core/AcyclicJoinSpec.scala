@@ -212,4 +212,18 @@ class AcyclicJoinSpec extends AnyFunSuite {
       assert(sameBag(out.rows, ref), s"trial $trial: ${out.rows.size} vs ${ref.size}")
     }
   }
+
+  test("Ids combining is linear in the number of merged messages") {
+    // A hub attribute vertex combines one singleton Ids per neighbour, the
+    // way the engine does it: merge(accumulated, incoming).
+    val n = 100000
+    val t0 = System.nanoTime()
+    var acc: JoinMsg = JoinMsg.Ids(List(0L))
+    var i = 1
+    while (i < n) { acc = JoinMsg.merge(acc, JoinMsg.Ids(List(i.toLong))); i += 1 }
+    val secs = (System.nanoTime() - t0) / 1e9
+    val JoinMsg.Ids(ids) = acc: @unchecked
+    assert(ids.size == n && ids.toSet == (0 until n).map(_.toLong).toSet)
+    assert(secs < 5.0, f"$n merges took $secs%.2f s") // quadratic merging takes about a minute
+  }
 }
